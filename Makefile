@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race router-test chaos fuzz bench bench-diff clean
+.PHONY: ci fmt-check vet build test race race-soak router-test chaos fuzz bench bench-diff clean
 
 # bench-diff both gates regressions and emits the fresh numbers
 # (BENCH_diff.json), so ci does not need a second full benchmark run;
 # `make bench` is the deliberate act of rebaselining BENCH_serve.json.
-ci: fmt-check vet build race router-test chaos fuzz bench-diff
+ci: fmt-check vet build race race-soak router-test chaos fuzz bench-diff
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -27,6 +27,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Race soak: five runs of the packages that share state across requests
+# (job manager, serving engine, parser, optimiser). A race that fires in
+# one run of five, like the job-id and inliner races this target was
+# added for, fails here rather than at random in a later run.
+race-soak:
+	$(GO) test -race -count 5 ./internal/jobs/... ./internal/serve/... ./internal/ir/... ./internal/passes/...
 
 # Router failover suite under the race detector: the ring/retry/hedge
 # unit tests plus the three-backend kill/restart integration test

@@ -165,6 +165,23 @@ func (t *Tape) Backward(loss *Node) {
 func (t *Tape) MatMul(a, b *Node) *Node {
 	val := t.newMat(a.Val.R, b.Val.C, true)
 	tensor.MatMulInto(val, a.Val, b.Val)
+	return t.matmulNode(a, b, val)
+}
+
+// MatMulRows returns a @ b computed only on the listed rows; every other
+// row of the result is zero. The caller must read no row it did not
+// list: the backward pass is MatMul's, which is then exact, because an
+// unread row's gradient is exactly zero and the backward kernels skip
+// zero gradient rows bit-neutrally. Gradients are therefore bit-identical
+// to MatMul's under the same consumers.
+func (t *Tape) MatMulRows(a, b *Node, rows []int) *Node {
+	val := t.newMat(a.Val.R, b.Val.C, true)
+	tensor.MatMulRowsInto(val, a.Val, b.Val, rows)
+	return t.matmulNode(a, b, val)
+}
+
+// matmulNode records val = a @ b with the matmul backward pass.
+func (t *Tape) matmulNode(a, b *Node, val *tensor.Mat) *Node {
 	out := t.node(val)
 	if !t.inference {
 		out.back = func() {

@@ -243,6 +243,7 @@ func TestFusedOpsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	randn := func(r, c int) *tensor.Mat { return tensor.Randn(rng, r, c, 1) }
 	seg := []int{0, 2, 1, 2, 0, 2, 1, 1}
+	readIdx, readRows := []int{4, 1, 4, 0}, []int{0, 1, 4}
 
 	cases := []struct {
 		name    string
@@ -268,6 +269,18 @@ func TestFusedOpsBitIdentical(t *testing.T) {
 			},
 			unfused: func(tp *Tape, ins []*Node) *Node {
 				return sumAll(tp, tp.LeakyReLU(tp.Add(ins[0], ins[1]), 0.2))
+			},
+		},
+		{
+			// Rows 2, 3 and 5 are never read, so projecting only the
+			// rows the gather reads changes neither loss nor gradients.
+			name: "MatMulRows",
+			xs:   []*tensor.Mat{randn(6, 4), randn(4, 3)},
+			fused: func(tp *Tape, ins []*Node) *Node {
+				return sumAll(tp, tp.Gather(tp.MatMulRows(ins[0], ins[1], readRows), readIdx))
+			},
+			unfused: func(tp *Tape, ins []*Node) *Node {
+				return sumAll(tp, tp.Gather(tp.MatMul(ins[0], ins[1]), readIdx))
 			},
 		},
 		{
@@ -311,6 +324,13 @@ func TestGradFusedOps(t *testing.T) {
 	other := tensor.Randn(rng, 5, 4, 1)
 	checkGrad(t, "AddLeakyReLU", x, func(tp *Tape, in *Node) *Node {
 		return sumAll(tp, tp.AddLeakyReLU(in, tp.Input(other), 0.2))
+	})
+	readIdx, readRows := []int{3, 0, 3}, []int{0, 3}
+	checkGrad(t, "MatMulRows.a", x, func(tp *Tape, in *Node) *Node {
+		return sumAll(tp, tp.Gather(tp.MatMulRows(in, tp.Input(w), readRows), readIdx))
+	})
+	checkGrad(t, "MatMulRows.b", w, func(tp *Tape, in *Node) *Node {
+		return sumAll(tp, tp.Gather(tp.MatMulRows(tp.Input(x), in, readRows), readIdx))
 	})
 	col := tensor.Randn(rng, 5, 1, 1)
 	seg := []int{1, 0, 1, 2, 0}

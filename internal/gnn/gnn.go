@@ -80,10 +80,11 @@ func init() {
 }
 
 // prepared is a graph preprocessed for the model: per-kind token ids and
-// per-relation local edge lists.
+// per-relation edge lists in kind-local row indices, with the rows each
+// side reads.
 type prepared struct {
 	tokens [graphs.NumNodeKinds][]int
-	edges  [][2][]int // per relation: [srcIdx, dstIdx] in kind-local indices
+	edges  []nn.Edges // per relation
 	label  int
 }
 
@@ -98,24 +99,44 @@ func (m *Model) tokenID(g *graphs.Graph, i int) int {
 }
 
 func (m *Model) prepare(g *graphs.Graph, label int) *prepared {
-	p := &prepared{label: label, edges: make([][2][]int, len(relations))}
+	p := &prepared{label: label}
 	local := make([]int, len(g.Nodes))
 	for i, n := range g.Nodes {
 		local[i] = len(p.tokens[n.Kind])
 		p.tokens[n.Kind] = append(p.tokens[n.Kind], m.tokenID(g, i))
+	}
+	p.edges = relationEdges(appendEdges(nil, g, local))
+	return p
+}
+
+// appendEdges appends g's edges to the per-relation [src, dst] lists
+// (allocated on first use), mapping node ids through local.
+func appendEdges(lists [][2][]int, g *graphs.Graph, local []int) [][2][]int {
+	if lists == nil {
+		lists = make([][2][]int, len(relations))
 	}
 	for _, e := range g.Edges {
 		sk := g.Nodes[e.Src].Kind
 		dk := g.Nodes[e.Dst].Kind
 		for ri, rel := range relations {
 			if rel.edge == e.Kind && rel.src == sk && rel.dst == dk {
-				p.edges[ri][0] = append(p.edges[ri][0], local[e.Src])
-				p.edges[ri][1] = append(p.edges[ri][1], local[e.Dst])
+				lists[ri][0] = append(lists[ri][0], local[e.Src])
+				lists[ri][1] = append(lists[ri][1], local[e.Dst])
 				break
 			}
 		}
 	}
-	return p
+	return lists
+}
+
+// relationEdges finishes the per-relation lists, computing each side's
+// read rows once per prepared graph rather than once per layer.
+func relationEdges(lists [][2][]int) []nn.Edges {
+	out := make([]nn.Edges, len(lists))
+	for ri, l := range lists {
+		out[ri] = nn.NewEdges(l[0], l[1])
+	}
+	return out
 }
 
 // preparedBatch is several graphs fused into one block-diagonal prepared
@@ -128,11 +149,12 @@ type preparedBatch struct {
 	n      int
 	tokens [graphs.NumNodeKinds][]int
 	seg    [graphs.NumNodeKinds][]int
-	edges  [][2][]int
+	edges  []nn.Edges
 }
 
 func (m *Model) prepareBatch(gs []*graphs.Graph) *preparedBatch {
-	p := &preparedBatch{n: len(gs), edges: make([][2][]int, len(relations))}
+	p := &preparedBatch{n: len(gs)}
+	var lists [][2][]int
 	var local []int
 	for gi, g := range gs {
 		if cap(local) < len(g.Nodes) {
@@ -144,18 +166,9 @@ func (m *Model) prepareBatch(gs []*graphs.Graph) *preparedBatch {
 			p.tokens[n.Kind] = append(p.tokens[n.Kind], m.tokenID(g, i))
 			p.seg[n.Kind] = append(p.seg[n.Kind], gi)
 		}
-		for _, e := range g.Edges {
-			sk := g.Nodes[e.Src].Kind
-			dk := g.Nodes[e.Dst].Kind
-			for ri, rel := range relations {
-				if rel.edge == e.Kind && rel.src == sk && rel.dst == dk {
-					p.edges[ri][0] = append(p.edges[ri][0], local[e.Src])
-					p.edges[ri][1] = append(p.edges[ri][1], local[e.Dst])
-					break
-				}
-			}
-		}
+		lists = appendEdges(lists, g, local)
 	}
+	p.edges = relationEdges(lists)
 	return p
 }
 
@@ -263,16 +276,15 @@ func (m *Model) GobDecode(b []byte) error {
 	return nil
 }
 
-// forward computes the class logits of one prepared graph.
-func (m *Model) forward(c *nn.Ctx, p *prepared) *autodiff.Node {
+// convolve embeds every node and runs the GATv2 layer stack, returning
+// the last layer's per-kind node states (nil for an absent kind).
+func (m *Model) convolve(c *nn.Ctx, tokens *[graphs.NumNodeKinds][]int, edges []nn.Edges) [graphs.NumNodeKinds]*autodiff.Node {
 	var h [graphs.NumNodeKinds]*autodiff.Node
 	for k := graphs.NodeKind(0); k < graphs.NumNodeKinds; k++ {
-		ids := p.tokens[k]
-		if len(ids) == 0 {
-			h[k] = nil
+		if len(tokens[k]) == 0 {
 			continue
 		}
-		h[k] = m.embed.Forward(c, ids)
+		h[k] = m.embed.Forward(c, tokens[k])
 	}
 	for _, layer := range m.layers {
 		var next [graphs.NumNodeKinds]*autodiff.Node
@@ -291,35 +303,45 @@ func (m *Model) forward(c *nn.Ctx, p *prepared) *autodiff.Node {
 				if rel.dst != k || h[rel.src] == nil {
 					continue
 				}
-				if len(p.edges[ri][0]) == 0 {
+				if len(edges[ri].Src) == 0 {
 					continue
 				}
 				terms[n] = layer.convs[ri].Forward(c, h[rel.src], h[k],
-					p.edges[ri][0], p.edges[ri][1], len(p.tokens[k]))
+					&edges[ri], len(tokens[k]))
 				n++
 			}
 			next[k] = c.T.ELUAddN(terms[:n]...)
 		}
 		h = next
 	}
+	return h
+}
+
+// classify concatenates the per-kind pooled rows into the graph vectors
+// and applies the two fully connected layers.
+func (m *Model) classify(c *nn.Ctx, pooled [graphs.NumNodeKinds]*autodiff.Node) *autodiff.Node {
+	g := pooled[0]
+	for _, pk := range pooled[1:] {
+		g = c.T.Concat(g, pk)
+	}
+	hidden := c.T.ReLU(m.fc1.Forward(c, g))
+	return m.fc2.Forward(c, hidden)
+}
+
+// forward computes the class logits of one prepared graph.
+func (m *Model) forward(c *nn.Ctx, p *prepared) *autodiff.Node {
+	h := m.convolve(c, &p.tokens, p.edges)
 	// Adaptive max pooling per kind, concatenated into the graph vector.
 	last := m.Cfg.Hidden[len(m.Cfg.Hidden)-1]
-	var pooled *autodiff.Node
-	for k := graphs.NodeKind(0); k < graphs.NumNodeKinds; k++ {
-		var pk *autodiff.Node
-		if h[k] == nil {
-			pk = c.T.Input(tensor.New(1, last))
+	var pooled [graphs.NumNodeKinds]*autodiff.Node
+	for k, hk := range h {
+		if hk == nil {
+			pooled[k] = c.T.Input(tensor.New(1, last))
 		} else {
-			pk = c.T.MaxRows(h[k])
-		}
-		if pooled == nil {
-			pooled = pk
-		} else {
-			pooled = c.T.Concat(pooled, pk)
+			pooled[k] = c.T.MaxRows(hk)
 		}
 	}
-	hidden := c.T.ReLU(m.fc1.Forward(c, pooled))
-	return m.fc2.Forward(c, hidden)
+	return m.classify(c, pooled)
 }
 
 // forwardBatch computes the [n × classes] logits of a fused batch. The
@@ -330,57 +352,19 @@ func (m *Model) forward(c *nn.Ctx, p *prepared) *autodiff.Node {
 // addition the unbatched pass skips, with identical results (+0 added to
 // any accumulator leaves it unchanged).
 func (m *Model) forwardBatch(c *nn.Ctx, p *preparedBatch) *autodiff.Node {
-	var h [graphs.NumNodeKinds]*autodiff.Node
-	for k := graphs.NodeKind(0); k < graphs.NumNodeKinds; k++ {
-		if len(p.tokens[k]) == 0 {
-			continue
-		}
-		h[k] = m.embed.Forward(c, p.tokens[k])
-	}
-	for _, layer := range m.layers {
-		var next [graphs.NumNodeKinds]*autodiff.Node
-		for k := graphs.NodeKind(0); k < graphs.NumNodeKinds; k++ {
-			if h[k] == nil {
-				continue
-			}
-			var terms [maxLayerTerms]*autodiff.Node
-			n := 0
-			terms[n] = layer.self[k].Forward(c, h[k])
-			n++
-			for ri, rel := range relations {
-				if rel.dst != k || h[rel.src] == nil {
-					continue
-				}
-				if len(p.edges[ri][0]) == 0 {
-					continue
-				}
-				terms[n] = layer.convs[ri].Forward(c, h[rel.src], h[k],
-					p.edges[ri][0], p.edges[ri][1], len(p.tokens[k]))
-				n++
-			}
-			next[k] = c.T.ELUAddN(terms[:n]...)
-		}
-		h = next
-	}
+	h := m.convolve(c, &p.tokens, p.edges)
 	// Adaptive max pooling per kind and per graph, concatenated into the
 	// [n × 3*last] graph-vector matrix.
 	last := m.Cfg.Hidden[len(m.Cfg.Hidden)-1]
-	var pooled *autodiff.Node
-	for k := graphs.NodeKind(0); k < graphs.NumNodeKinds; k++ {
-		var pk *autodiff.Node
-		if h[k] == nil {
-			pk = c.T.Input(tensor.New(p.n, last))
+	var pooled [graphs.NumNodeKinds]*autodiff.Node
+	for k, hk := range h {
+		if hk == nil {
+			pooled[k] = c.T.Input(tensor.New(p.n, last))
 		} else {
-			pk = c.T.SegmentMaxRows(h[k], p.seg[k], p.n)
-		}
-		if pooled == nil {
-			pooled = pk
-		} else {
-			pooled = c.T.Concat(pooled, pk)
+			pooled[k] = c.T.SegmentMaxRows(hk, p.seg[k], p.n)
 		}
 	}
-	hidden := c.T.ReLU(m.fc1.Forward(c, pooled))
-	return m.fc2.Forward(c, hidden)
+	return m.classify(c, pooled)
 }
 
 // Train fits the model on the samples. Each worker owns one reusable

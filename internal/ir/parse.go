@@ -24,13 +24,41 @@ import (
 // strings.Split substrings aliased the source just the same.
 
 // Named struct registry: the textual form prints named structs as
-// %struct.NAME, so the parser needs their definitions.
+// %struct.NAME, so the parser needs their definitions. It is filled by
+// registerStruct during package initialisation and only read after that,
+// so concurrent parses share it without a lock.
 var namedStructs = map[string]*Type{}
+
+// structTable resolves %struct.NAME within one parse: registered structs
+// come from namedStructs, and any other name gets an opaque struct that
+// lives in this table, so every mention of it in one module is the same
+// type. The table is created on the first unknown name, so a module that
+// names only registered structs pays nothing. A client's struct names
+// never reach the shared registry: they cannot race there or stay in
+// memory after the module is gone.
+type structTable struct {
+	local map[string]*Type
+}
+
+func (st *structTable) lookup(name string) *Type {
+	if t, ok := namedStructs[name]; ok {
+		return t
+	}
+	if t, ok := st.local[name]; ok {
+		return t
+	}
+	if st.local == nil {
+		st.local = map[string]*Type{}
+	}
+	t := StructOf(name)
+	st.local[name] = t
+	return t
+}
 
 // ptrCache memoises PtrTo for the scalar singletons and registered structs
 // (two levels deep: T* and T**), so parsing the ubiquitous pointer types
 // reuses one shared immutable Type instead of allocating per mention. It is
-// populated at init / RegisterStruct time only and is read-only while
+// populated at init / registerStruct time only and is read-only while
 // parsing, under the same register-before-parse contract as namedStructs.
 var ptrCache = map[*Type]*Type{}
 
@@ -54,11 +82,12 @@ func ptrTo(t *Type) *Type {
 	return PtrTo(t)
 }
 
-// RegisterStruct registers a named struct type for the parser. It returns
-// the registered type so callers can use it directly.
-func RegisterStruct(t *Type) *Type {
+// registerStruct registers a named struct type for the parser, during
+// package initialisation only. It returns the registered type so callers
+// can use it directly.
+func registerStruct(t *Type) *Type {
 	if t.Kind != KStruct || t.SName == "" {
-		panic("ir: RegisterStruct requires a named struct")
+		panic("ir: registerStruct requires a named struct")
 	}
 	namedStructs[t.SName] = t
 	cachePtrsTo(t)
@@ -66,7 +95,7 @@ func RegisterStruct(t *Type) *Type {
 }
 
 // StatusType is the modelled MPI_Status struct (source, tag, error).
-var StatusType = RegisterStruct(StructOf("MPI_Status", I32, I32, I32))
+var StatusType = registerStruct(StructOf("MPI_Status", I32, I32, I32))
 
 // opTab interns every non-special opcode mnemonic (binary arithmetic and
 // conversions); parseInstr's fallback resolves the token with one lookup
@@ -136,7 +165,8 @@ type parser struct {
 	eof bool
 	cur string
 
-	mod *Module
+	mod     *Module
+	structs structTable
 
 	// Per-function state (reset at each define).
 	curFunc *Func
@@ -203,6 +233,7 @@ func (p *parser) release() {
 	p.src, p.cur = "", ""
 	p.off, p.eof = 0, false
 	p.mod, p.curFunc = nil, nil
+	p.structs = structTable{} // its names alias the source
 	clear(p.values)
 	for i := range p.pending {
 		p.pending[i] = pendingRef{}
@@ -438,7 +469,7 @@ func (p *parser) parseGlobal(line string) error {
 	default:
 		return p.errf("global %s: missing global/constant keyword", name)
 	}
-	typ, rest, err := parseType(strings.TrimSpace(rest))
+	typ, rest, err := p.parseType(strings.TrimSpace(rest))
 	if err != nil {
 		return p.errf("global %s: %v", name, err)
 	}
@@ -468,7 +499,7 @@ func (p *parser) parseGlobal(line string) error {
 // parseHeader parses "RET @name(T %p, T %q, ...)" returning the function
 // skeleton.
 func (p *parser) parseHeader(rest string) (*Func, error) {
-	ret, rest, err := parseType(strings.TrimSpace(rest))
+	ret, rest, err := p.parseType(strings.TrimSpace(rest))
 	if err != nil {
 		return nil, err
 	}
@@ -496,7 +527,7 @@ func (p *parser) parseHeader(rest string) (*Func, error) {
 				f.Variadic = true
 				continue
 			}
-			pt, prest, err := parseType(part)
+			pt, prest, err := p.parseType(part)
 			if err != nil {
 				return nil, fmt.Errorf("param %q: %v", part, err)
 			}
@@ -646,8 +677,8 @@ func (p *parser) operand(typ *Type, tok string, slot *Value) error {
 }
 
 // typedOperandTok parses "TYPE VALUE" returning the type and raw value token.
-func typedOperandTok(s string) (*Type, string, error) {
-	t, rest, err := parseType(strings.TrimSpace(s))
+func (p *parser) typedOperandTok(s string) (*Type, string, error) {
+	t, rest, err := p.parseType(strings.TrimSpace(s))
 	if err != nil {
 		return nil, "", err
 	}
@@ -688,13 +719,13 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 	case "alloca":
 		parts := p.split(rest, ',')
 		in.Op = OpAlloca
-		in.AllocTy, _, err = parseType(strings.TrimSpace(parts[0]))
+		in.AllocTy, _, err = p.parseType(strings.TrimSpace(parts[0]))
 		if err != nil {
 			return nil, p.errf("alloca: %v", err)
 		}
 		in.Typ = ptrTo(in.AllocTy)
 		if len(parts) == 2 {
-			ct, cv, err := typedOperandTok(parts[1])
+			ct, cv, err := p.typedOperandTok(parts[1])
 			if err != nil {
 				return nil, p.errf("alloca count: %v", err)
 			}
@@ -709,11 +740,11 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			return nil, p.errf("load wants 2 operands")
 		}
 		in.Op = OpLoad
-		in.Typ, _, err = parseType(strings.TrimSpace(parts[0]))
+		in.Typ, _, err = p.parseType(strings.TrimSpace(parts[0]))
 		if err != nil {
 			return nil, p.errf("load: %v", err)
 		}
-		pt, pv, err := typedOperandTok(parts[1])
+		pt, pv, err := p.typedOperandTok(parts[1])
 		if err != nil {
 			return nil, p.errf("load ptr: %v", err)
 		}
@@ -729,14 +760,14 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		in.Op = OpStore
 		in.Typ = Void
 		in.Args = p.newArgs(2)
-		vt, vv, err := typedOperandTok(parts[0])
+		vt, vv, err := p.typedOperandTok(parts[0])
 		if err != nil {
 			return nil, p.errf("store value: %v", err)
 		}
 		if err := p.operand(vt, vv, &in.Args[0]); err != nil {
 			return nil, p.errf("store value: %v", err)
 		}
-		pt, pv, err := typedOperandTok(parts[1])
+		pt, pv, err := p.typedOperandTok(parts[1])
 		if err != nil {
 			return nil, p.errf("store ptr: %v", err)
 		}
@@ -749,14 +780,14 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			return nil, p.errf("gep wants >= 2 operands")
 		}
 		in.Op = OpGEP
-		elem, _, err := parseType(strings.TrimSpace(parts[0]))
+		elem, _, err := p.parseType(strings.TrimSpace(parts[0]))
 		if err != nil {
 			return nil, p.errf("gep: %v", err)
 		}
 		in.Typ = ptrTo(elem)
 		in.Args = p.newArgs(len(parts) - 1)
 		for i, part := range parts[1:] {
-			t, v, err := typedOperandTok(part)
+			t, v, err := p.typedOperandTok(part)
 			if err != nil {
 				return nil, p.errf("gep operand: %v", err)
 			}
@@ -784,7 +815,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		if len(parts) != 2 {
 			return nil, p.errf("%s wants 2 operands", op)
 		}
-		t, v, err := typedOperandTok(parts[0])
+		t, v, err := p.typedOperandTok(parts[0])
 		if err != nil {
 			return nil, p.errf("%s lhs: %v", op, err)
 		}
@@ -797,7 +828,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		}
 	case "phi":
 		in.Op = OpPhi
-		t, rest2, err := parseType(rest)
+		t, rest2, err := p.parseType(rest)
 		if err != nil {
 			return nil, p.errf("phi: %v", err)
 		}
@@ -832,7 +863,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		}
 		in.Args = p.newArgs(3)
 		for i, part := range parts {
-			t, v, err := typedOperandTok(part)
+			t, v, err := p.typedOperandTok(part)
 			if err != nil {
 				return nil, p.errf("select: %v", err)
 			}
@@ -845,7 +876,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		}
 	case "call":
 		in.Op = OpCall
-		t, rest2, err := parseType(rest)
+		t, rest2, err := p.parseType(rest)
 		if err != nil {
 			return nil, p.errf("call: %v", err)
 		}
@@ -865,7 +896,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			parts := p.split(args, ',')
 			in.Args = p.newArgs(len(parts))
 			for i, part := range parts {
-				t, v, err := typedOperandTok(part)
+				t, v, err := p.typedOperandTok(part)
 				if err != nil {
 					return nil, p.errf("call arg: %v", err)
 				}
@@ -891,7 +922,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			if len(parts) != 3 {
 				return nil, p.errf("condbr wants cond + 2 labels")
 			}
-			t, v, err := typedOperandTok(parts[0])
+			t, v, err := p.typedOperandTok(parts[0])
 			if err != nil {
 				return nil, p.errf("condbr cond: %v", err)
 			}
@@ -914,7 +945,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		in.Op = OpRet
 		in.Typ = Void
 		if rest != "void" && rest != "" {
-			t, v, err := typedOperandTok(rest)
+			t, v, err := p.typedOperandTok(rest)
 			if err != nil {
 				return nil, p.errf("ret: %v", err)
 			}
@@ -938,7 +969,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			if len(parts) != 2 {
 				return nil, p.errf("%s wants 2 operands", op)
 			}
-			t, v, err := typedOperandTok(parts[0])
+			t, v, err := p.typedOperandTok(parts[0])
 			if err != nil {
 				return nil, p.errf("%s: %v", op, err)
 			}
@@ -958,11 +989,11 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		if toIdx < 0 {
 			return nil, p.errf("%s wants 'to'", op)
 		}
-		t, v, err := typedOperandTok(rest[:toIdx])
+		t, v, err := p.typedOperandTok(rest[:toIdx])
 		if err != nil {
 			return nil, p.errf("%s: %v", op, err)
 		}
-		in.Typ, _, err = parseType(strings.TrimSpace(rest[toIdx+4:]))
+		in.Typ, _, err = p.parseType(strings.TrimSpace(rest[toIdx+4:]))
 		if err != nil {
 			return nil, p.errf("%s: %v", op, err)
 		}
@@ -1050,7 +1081,7 @@ func parseConstToken(t *Type, tok string) (*Const, error) {
 }
 
 // parseType parses a leading type from s, returning the remainder.
-func parseType(s string) (*Type, string, error) {
+func (p *parser) parseType(s string) (*Type, string, error) {
 	s = strings.TrimSpace(s)
 	var base *Type
 	switch {
@@ -1074,13 +1105,7 @@ func parseType(s string) (*Type, string, error) {
 		for end < len(rest) && (isIdentChar(rest[end])) {
 			end++
 		}
-		name := rest[:end]
-		st, ok := namedStructs[name]
-		if !ok {
-			st = StructOf(name)
-			namedStructs[name] = st
-		}
-		base, s = st, rest[end:]
+		base, s = p.structs.lookup(rest[:end]), rest[end:]
 	case strings.HasPrefix(s, "["):
 		close := matchBracket(s, 0, '[', ']')
 		if close < 0 {
@@ -1095,7 +1120,7 @@ func parseType(s string) (*Type, string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("bad array length in %q", inner)
 		}
-		elem, rest, err := parseType(inner[xIdx+3:])
+		elem, rest, err := p.parseType(inner[xIdx+3:])
 		if err != nil {
 			return nil, "", err
 		}

@@ -11,8 +11,9 @@ import (
 // FuzzParse and the compatibility tests assert that Parse and ParseReference
 // agree on every input — same module (byte-identical Print) and
 // byte-identical diagnostics. It deliberately shares nothing with the new
-// parser except the IR data structures and the named-struct registry (which
-// is global state both must see).
+// parser except the IR data structures and the named-struct resolution
+// (the read-only registry plus a per-parse table, which both must see
+// alike).
 //
 // Do not "optimise" this file; its value is that it does not change.
 
@@ -25,9 +26,10 @@ func ParseReference(src string) (*Module, error) {
 }
 
 type refParser struct {
-	lines []string
-	pos   int
-	mod   *Module
+	lines   []string
+	pos     int
+	mod     *Module
+	structs structTable
 }
 
 type refPendingRef struct {
@@ -89,7 +91,7 @@ func (p *refParser) parseGlobal(line string) error {
 	default:
 		return p.errf("global %s: missing global/constant keyword", name)
 	}
-	typ, rest, err := refParseType(strings.TrimSpace(rest))
+	typ, rest, err := p.refParseType(strings.TrimSpace(rest))
 	if err != nil {
 		return p.errf("global %s: %v", name, err)
 	}
@@ -118,7 +120,7 @@ func (p *refParser) parseGlobal(line string) error {
 // parseHeader parses "RET @name(T %p, T %q, ...)" returning the function
 // skeleton.
 func (p *refParser) parseHeader(rest string) (*Func, error) {
-	ret, rest, err := refParseType(strings.TrimSpace(rest))
+	ret, rest, err := p.refParseType(strings.TrimSpace(rest))
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +144,7 @@ func (p *refParser) parseHeader(rest string) (*Func, error) {
 				f.Variadic = true
 				continue
 			}
-			pt, prest, err := refParseType(part)
+			pt, prest, err := p.refParseType(part)
 			if err != nil {
 				return nil, fmt.Errorf("param %q: %v", part, err)
 			}
@@ -292,8 +294,8 @@ func (fp *refFuncParser) operand(typ *Type, tok string, slot *Value) error {
 
 // refTypedOperandTok parses "TYPE VALUE" returning the type and raw value
 // token.
-func refTypedOperandTok(s string) (*Type, string, error) {
-	t, rest, err := refParseType(strings.TrimSpace(s))
+func (p *refParser) refTypedOperandTok(s string) (*Type, string, error) {
+	t, rest, err := p.refParseType(strings.TrimSpace(s))
 	if err != nil {
 		return nil, "", err
 	}
@@ -333,13 +335,13 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 	case "alloca":
 		parts := refSplitTop(rest, ',')
 		in.Op = OpAlloca
-		in.AllocTy, _, err = refParseType(strings.TrimSpace(parts[0]))
+		in.AllocTy, _, err = fp.p.refParseType(strings.TrimSpace(parts[0]))
 		if err != nil {
 			return nil, fp.p.errf("alloca: %v", err)
 		}
 		in.Typ = PtrTo(in.AllocTy)
 		if len(parts) == 2 {
-			ct, cv, err := refTypedOperandTok(parts[1])
+			ct, cv, err := fp.p.refTypedOperandTok(parts[1])
 			if err != nil {
 				return nil, fp.p.errf("alloca count: %v", err)
 			}
@@ -354,11 +356,11 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 			return nil, fp.p.errf("load wants 2 operands")
 		}
 		in.Op = OpLoad
-		in.Typ, _, err = refParseType(strings.TrimSpace(parts[0]))
+		in.Typ, _, err = fp.p.refParseType(strings.TrimSpace(parts[0]))
 		if err != nil {
 			return nil, fp.p.errf("load: %v", err)
 		}
-		pt, pv, err := refTypedOperandTok(parts[1])
+		pt, pv, err := fp.p.refTypedOperandTok(parts[1])
 		if err != nil {
 			return nil, fp.p.errf("load ptr: %v", err)
 		}
@@ -374,14 +376,14 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 		in.Op = OpStore
 		in.Typ = Void
 		in.Args = make([]Value, 2)
-		vt, vv, err := refTypedOperandTok(parts[0])
+		vt, vv, err := fp.p.refTypedOperandTok(parts[0])
 		if err != nil {
 			return nil, fp.p.errf("store value: %v", err)
 		}
 		if err := fp.operand(vt, vv, &in.Args[0]); err != nil {
 			return nil, fp.p.errf("store value: %v", err)
 		}
-		pt, pv, err := refTypedOperandTok(parts[1])
+		pt, pv, err := fp.p.refTypedOperandTok(parts[1])
 		if err != nil {
 			return nil, fp.p.errf("store ptr: %v", err)
 		}
@@ -394,14 +396,14 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 			return nil, fp.p.errf("gep wants >= 2 operands")
 		}
 		in.Op = OpGEP
-		elem, _, err := refParseType(strings.TrimSpace(parts[0]))
+		elem, _, err := fp.p.refParseType(strings.TrimSpace(parts[0]))
 		if err != nil {
 			return nil, fp.p.errf("gep: %v", err)
 		}
 		in.Typ = PtrTo(elem)
 		in.Args = make([]Value, len(parts)-1)
 		for i, part := range parts[1:] {
-			t, v, err := refTypedOperandTok(part)
+			t, v, err := fp.p.refTypedOperandTok(part)
 			if err != nil {
 				return nil, fp.p.errf("gep operand: %v", err)
 			}
@@ -429,7 +431,7 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 		if len(parts) != 2 {
 			return nil, fp.p.errf("%s wants 2 operands", op)
 		}
-		t, v, err := refTypedOperandTok(parts[0])
+		t, v, err := fp.p.refTypedOperandTok(parts[0])
 		if err != nil {
 			return nil, fp.p.errf("%s lhs: %v", op, err)
 		}
@@ -442,7 +444,7 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 		}
 	case "phi":
 		in.Op = OpPhi
-		t, rest2, err := refParseType(rest)
+		t, rest2, err := fp.p.refParseType(rest)
 		if err != nil {
 			return nil, fp.p.errf("phi: %v", err)
 		}
@@ -473,7 +475,7 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 		}
 		in.Args = make([]Value, 3)
 		for i, part := range parts {
-			t, v, err := refTypedOperandTok(part)
+			t, v, err := fp.p.refTypedOperandTok(part)
 			if err != nil {
 				return nil, fp.p.errf("select: %v", err)
 			}
@@ -486,7 +488,7 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 		}
 	case "call":
 		in.Op = OpCall
-		t, rest2, err := refParseType(rest)
+		t, rest2, err := fp.p.refParseType(rest)
 		if err != nil {
 			return nil, fp.p.errf("call: %v", err)
 		}
@@ -506,7 +508,7 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 			parts := refSplitTop(args, ',')
 			in.Args = make([]Value, len(parts))
 			for i, part := range parts {
-				t, v, err := refTypedOperandTok(part)
+				t, v, err := fp.p.refTypedOperandTok(part)
 				if err != nil {
 					return nil, fp.p.errf("call arg: %v", err)
 				}
@@ -531,7 +533,7 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 			if len(parts) != 3 {
 				return nil, fp.p.errf("condbr wants cond + 2 labels")
 			}
-			t, v, err := refTypedOperandTok(parts[0])
+			t, v, err := fp.p.refTypedOperandTok(parts[0])
 			if err != nil {
 				return nil, fp.p.errf("condbr cond: %v", err)
 			}
@@ -553,7 +555,7 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 		in.Op = OpRet
 		in.Typ = Void
 		if rest != "void" && rest != "" {
-			t, v, err := refTypedOperandTok(rest)
+			t, v, err := fp.p.refTypedOperandTok(rest)
 			if err != nil {
 				return nil, fp.p.errf("ret: %v", err)
 			}
@@ -573,7 +575,7 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 			if len(parts) != 2 {
 				return nil, fp.p.errf("%s wants 2 operands", op)
 			}
-			t, v, err := refTypedOperandTok(parts[0])
+			t, v, err := fp.p.refTypedOperandTok(parts[0])
 			if err != nil {
 				return nil, fp.p.errf("%s: %v", op, err)
 			}
@@ -594,11 +596,11 @@ func (fp *refFuncParser) parseInstr(line string) (*Instr, error) {
 			if toIdx < 0 {
 				return nil, fp.p.errf("%s wants 'to'", op)
 			}
-			t, v, err := refTypedOperandTok(rest[:toIdx])
+			t, v, err := fp.p.refTypedOperandTok(rest[:toIdx])
 			if err != nil {
 				return nil, fp.p.errf("%s: %v", op, err)
 			}
-			in.Typ, _, err = refParseType(strings.TrimSpace(rest[toIdx+4:]))
+			in.Typ, _, err = fp.p.refParseType(strings.TrimSpace(rest[toIdx+4:]))
 			if err != nil {
 				return nil, fp.p.errf("%s: %v", op, err)
 			}
@@ -683,7 +685,7 @@ func refParseConstToken(t *Type, tok string) (*Const, error) {
 }
 
 // refParseType parses a leading type from s, returning the remainder.
-func refParseType(s string) (*Type, string, error) {
+func (p *refParser) refParseType(s string) (*Type, string, error) {
 	s = strings.TrimSpace(s)
 	var base *Type
 	switch {
@@ -707,13 +709,7 @@ func refParseType(s string) (*Type, string, error) {
 		for end < len(rest) && (isIdentChar(rest[end])) {
 			end++
 		}
-		name := rest[:end]
-		st, ok := namedStructs[name]
-		if !ok {
-			st = StructOf(name)
-			namedStructs[name] = st
-		}
-		base, s = st, rest[end:]
+		base, s = p.structs.lookup(rest[:end]), rest[end:]
 	case strings.HasPrefix(s, "["):
 		close := refMatchBracket(s, 0, '[', ']')
 		if close < 0 {
@@ -728,7 +724,7 @@ func refParseType(s string) (*Type, string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("bad array length in %q", inner)
 		}
-		elem, rest, err := refParseType(inner[xIdx+3:])
+		elem, rest, err := p.refParseType(inner[xIdx+3:])
 		if err != nil {
 			return nil, "", err
 		}

@@ -73,8 +73,11 @@ type Config struct {
 	// Timeout bounds one job's run; 0 = no per-job budget.
 	Timeout time.Duration
 	// OnTransition, when set, is invoked (outside all manager locks) on
-	// every state change with the job's fresh snapshot. The serving
-	// engine publishes these to its event bus.
+	// every state change with the job's fresh snapshot, in lifecycle
+	// order per job (queued, running, terminal). The serving engine
+	// publishes these to its event bus. It must not wait on Cancel of
+	// the job whose queued transition it is handling: that Cancel waits
+	// for the hook to return.
 	OnTransition func(Snapshot)
 	// OnPanic, when set, is invoked after a job's RunFunc panic is
 	// recovered (the job fails; the worker survives). The serving engine
@@ -144,6 +147,10 @@ type job[R any] struct {
 	started     time.Time
 	finished    time.Time
 	changed     chan struct{} // closed and replaced on every mutation (broadcast)
+	// announced is closed once Submit has published the queued
+	// transition; the running and canceled transitions wait for it, so
+	// every observer sees queued first.
+	announced chan struct{}
 }
 
 // bumpLocked wakes every Follow parked on the job. Caller holds j.mu.
@@ -214,6 +221,7 @@ func (m *Manager[R]) Submit(total int, run RunFunc[R]) (Snapshot, error) {
 	j := &job[R]{
 		total: total, run: run, ctx: ctx, cancel: cancel,
 		state: StateQueued, created: time.Now(), changed: make(chan struct{}),
+		announced: make(chan struct{}),
 	}
 	m.mu.Lock()
 	if m.closed {
@@ -221,20 +229,29 @@ func (m *Manager[R]) Submit(total int, run RunFunc[R]) (Snapshot, error) {
 		cancel()
 		return Snapshot{}, ErrClosed
 	}
+	// The id is reserved and the job registered before the send, so no
+	// worker or Cancel ever sees the job without its id. A refused send
+	// returns the id: m.mu is still held, so nobody took a later one.
+	m.seq++
+	id := fmt.Sprintf("job-%d", m.seq)
+	j.mu.Lock()
+	j.id = id
+	j.mu.Unlock()
+	m.jobs[id] = j
 	select {
 	case m.queue <- j:
 	default:
+		delete(m.jobs, id)
+		m.seq--
 		m.mu.Unlock()
 		cancel()
 		return Snapshot{}, fmt.Errorf("%w: %d jobs pending", ErrQueueFull, m.cfg.QueueDepth)
 	}
-	m.seq++
-	j.id = fmt.Sprintf("job-%d", m.seq)
-	m.jobs[j.id] = j
 	m.mu.Unlock()
+	defer close(j.announced) // even if the hook panics, or the job's worker would wait forever
 	m.submitted.Add(1)
 	m.queued.Add(1)
-	snap := Snapshot{ID: j.id, State: StateQueued, Total: total, Created: j.created}
+	snap := Snapshot{ID: id, State: StateQueued, Total: total, Created: j.created}
 	m.transition(snap)
 	return snap, nil
 }
@@ -247,6 +264,7 @@ func (m *Manager[R]) worker() {
 }
 
 func (m *Manager[R]) runJob(j *job[R]) {
+	<-j.announced
 	j.mu.Lock()
 	if j.state != StateQueued { // canceled while queued; already terminal
 		j.mu.Unlock()
@@ -401,6 +419,7 @@ func (m *Manager[R]) Cancel(id string) (Snapshot, bool) {
 	if j == nil {
 		return Snapshot{}, false
 	}
+	<-j.announced
 	j.mu.Lock()
 	if j.state.Terminal() {
 		snap := j.snapshotLocked()

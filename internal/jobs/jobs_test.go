@@ -441,3 +441,57 @@ func TestDrainEstimateTracksBacklog(t *testing.T) {
 		t.Fatalf("estimate %v outside [1s, 5m]", got)
 	}
 }
+
+// TestTransitionsOrderedPerJob submits jobs to idle workers, the case
+// where a worker can pick a job up before Submit returns. Every job's
+// transitions must arrive as queued, running, then one terminal state,
+// and no snapshot may carry an empty id. Run it under -race -count 20.
+func TestTransitionsOrderedPerJob(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string][]State{}
+	var emptyIDs int
+	m := New[int](Config{Workers: 4, QueueDepth: 64, OnTransition: func(s Snapshot) {
+		mu.Lock()
+		defer mu.Unlock()
+		if s.ID == "" {
+			emptyIDs++
+		}
+		seen[s.ID] = append(seen[s.ID], s.State)
+	}})
+	const n = 48
+	ids := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		snap, err := m.Submit(1, func(ctx context.Context, emit func(int)) error {
+			emit(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.ID == "" {
+			t.Fatal("Submit returned an empty id")
+		}
+		ids = append(ids, snap.ID)
+	}
+	for _, id := range ids {
+		waitTerminal(t, m, id)
+	}
+	m.Close() // drains the workers, so every transition has been delivered
+	mu.Lock()
+	defer mu.Unlock()
+	if emptyIDs > 0 {
+		t.Fatalf("%d transitions carried an empty job id", emptyIDs)
+	}
+	want := []State{StateQueued, StateRunning, StateCompleted}
+	for _, id := range ids {
+		got := seen[id]
+		if len(got) != len(want) {
+			t.Fatalf("job %s: transitions %v, want %v", id, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("job %s: transitions %v, want %v", id, got, want)
+			}
+		}
+	}
+}

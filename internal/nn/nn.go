@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"mpidetect/internal/autodiff"
 	"mpidetect/internal/tensor"
@@ -253,19 +254,42 @@ func NewGATv2(ps *ParamSet, rng *rand.Rand, name string, in, out int) *GATv2 {
 	}
 }
 
-// Forward computes the messages into nDst destination nodes. srcIdx/dstIdx
-// are the edge lists (source row in hSrc, destination row index).
-func (g *GATv2) Forward(c *Ctx, hSrc, hDst *autodiff.Node, srcIdx, dstIdx []int, nDst int) *autodiff.Node {
-	hs := c.T.MatMul(hSrc, c.P(g.WSrc))
-	if len(srcIdx) == 0 {
+// Edges is one relation's edge list in the form GATv2.Forward reads: per
+// edge, the source row in hSrc and the destination row in hDst, plus the
+// distinct rows each side reads (ascending), so the projections skip
+// node rows no edge touches.
+type Edges struct {
+	Src, Dst         []int
+	SrcRows, DstRows []int
+}
+
+// NewEdges builds an edge list and its read-row sets. Build it once per
+// graph, not per forward pass.
+func NewEdges(src, dst []int) Edges {
+	return Edges{Src: src, Dst: dst, SrcRows: distinctRows(src), DstRows: distinctRows(dst)}
+}
+
+func distinctRows(idx []int) []int {
+	rows := slices.Clone(idx)
+	slices.Sort(rows)
+	return slices.Compact(rows)
+}
+
+// Forward computes the messages into nDst destination nodes. Each
+// projection is computed only on the rows the edges read (MatMulRows):
+// the gathers below touch no other row, so values and gradients equal
+// those of the full projections bit for bit.
+func (g *GATv2) Forward(c *Ctx, hSrc, hDst *autodiff.Node, e *Edges, nDst int) *autodiff.Node {
+	hs := c.T.MatMulRows(hSrc, c.P(g.WSrc), e.SrcRows)
+	if len(e.Src) == 0 {
 		// No edges of this relation: zero contribution.
 		return c.T.Scale(c.T.SegmentSum(c.T.Gather(hs, nil), nil, nDst), 0)
 	}
-	hd := c.T.MatMul(hDst, c.P(g.WDst))
-	es := c.T.Gather(hs, srcIdx)
-	ed := c.T.Gather(hd, dstIdx)
+	hd := c.T.MatMulRows(hDst, c.P(g.WDst), e.DstRows)
+	es := c.T.Gather(hs, e.Src)
+	ed := c.T.Gather(hd, e.Dst)
 	s := c.T.AddLeakyReLU(es, ed, 0.2)
-	e := c.T.MatMul(s, c.P(g.Att))
-	alpha := c.T.SegmentSoftmax(e, dstIdx, nDst)
-	return c.T.SegmentSumMulCol(es, alpha, dstIdx, nDst)
+	att := c.T.MatMul(s, c.P(g.Att))
+	alpha := c.T.SegmentSoftmax(att, e.Dst, nDst)
+	return c.T.SegmentSumMulCol(es, alpha, e.Dst, nDst)
 }

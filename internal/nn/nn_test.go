@@ -3,8 +3,10 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"mpidetect/internal/autodiff"
 	"mpidetect/internal/tensor"
 )
 
@@ -88,9 +90,54 @@ func TestGATv2Shapes(t *testing.T) {
 	c := NewCtx(ps, nil)
 	hSrc := c.T.Input(tensor.Randn(rng, 5, 4, 1))
 	hDst := c.T.Input(tensor.Randn(rng, 3, 4, 1))
-	out := gat.Forward(c, hSrc, hDst, []int{0, 1, 2, 4}, []int{0, 0, 1, 2}, 3)
+	edges := NewEdges([]int{0, 1, 2, 4}, []int{0, 0, 1, 2})
+	out := gat.Forward(c, hSrc, hDst, &edges, 3)
 	if out.Val.R != 3 || out.Val.C != 6 {
 		t.Fatalf("GATv2 output %dx%d, want 3x6", out.Val.R, out.Val.C)
+	}
+}
+
+// TestGATv2RowListedMatchesFull checks that projecting only the rows the
+// edges read leaves the messages and every gradient bit-identical to the
+// full projections, with source and destination rows no edge touches
+// (rows 1 and 3 of hSrc, row 2 of hDst) and a repeated source row.
+func TestGATv2RowListedMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ps := &ParamSet{}
+	gat := NewGATv2(ps, rng, "g", 4, 6)
+	xs := tensor.Randn(rng, 5, 4, 1)
+	xd := tensor.Randn(rng, 4, 4, 1)
+	edges := NewEdges([]int{4, 0, 2, 4}, []int{0, 3, 1, 1})
+	if want := []int{0, 2, 4}; !slices.Equal(edges.SrcRows, want) {
+		t.Fatalf("SrcRows %v, want %v", edges.SrcRows, want)
+	}
+	full := func(c *Ctx, hSrc, hDst *autodiff.Node) *autodiff.Node {
+		hs := c.T.MatMul(hSrc, c.P(gat.WSrc))
+		hd := c.T.MatMul(hDst, c.P(gat.WDst))
+		es := c.T.Gather(hs, edges.Src)
+		s := c.T.AddLeakyReLU(es, c.T.Gather(hd, edges.Dst), 0.2)
+		alpha := c.T.SegmentSoftmax(c.T.MatMul(s, c.P(gat.Att)), edges.Dst, 4)
+		return c.T.SegmentSumMulCol(es, alpha, edges.Dst, 4)
+	}
+	listed := func(c *Ctx, hSrc, hDst *autodiff.Node) *autodiff.Node {
+		return gat.Forward(c, hSrc, hDst, &edges, 4)
+	}
+	run := func(f func(c *Ctx, hSrc, hDst *autodiff.Node) *autodiff.Node) []*tensor.Mat {
+		ps.ZeroGrads()
+		c := NewCtx(ps, nil)
+		hSrc, hDst := c.T.Input(xs), c.T.Input(xd)
+		out := f(c, hSrc, hDst)
+		c.Backward(c.T.MaxRows(c.T.MatMul(out, c.T.Input(tensor.Randn(rand.New(rand.NewSource(1)), 6, 1, 1)))))
+		return []*tensor.Mat{out.Val.Clone(), hSrc.Grad.Clone(), hDst.Grad.Clone(),
+			gat.WSrc.Grad.Clone(), gat.WDst.Grad.Clone(), gat.Att.Grad.Clone()}
+	}
+	want, got := run(full), run(listed)
+	for i := range want {
+		for j, v := range want[i].Data {
+			if math.Float64bits(got[i].Data[j]) != math.Float64bits(v) {
+				t.Fatalf("tensor %d element %d: row-listed %v, full %v", i, j, got[i].Data[j], v)
+			}
+		}
 	}
 }
 
@@ -101,7 +148,7 @@ func TestGATv2NoEdges(t *testing.T) {
 	c := NewCtx(ps, nil)
 	hSrc := c.T.Input(tensor.Randn(rng, 5, 4, 1))
 	hDst := c.T.Input(tensor.Randn(rng, 3, 4, 1))
-	out := gat.Forward(c, hSrc, hDst, nil, nil, 3)
+	out := gat.Forward(c, hSrc, hDst, &Edges{}, 3)
 	if out.Val.R != 3 || out.Val.C != 6 {
 		t.Fatalf("no-edge output %dx%d", out.Val.R, out.Val.C)
 	}

@@ -2,6 +2,8 @@ package passes
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"mpidetect/internal/ir"
 )
@@ -9,8 +11,14 @@ import (
 // Inline performs bottom-up function inlining: direct calls to defined,
 // non-recursive functions whose size is at most maxSize instructions are
 // replaced by a clone of the callee body. Returns whether anything changed.
+//
+// Cloned blocks and values are renamed "inlN." with N counted within this
+// call, starting past every such prefix already in the module (so inlining
+// an optimised module again cannot reuse a name). The result depends only
+// on the module: concurrent and repeated Optimize calls print identically.
 func Inline(m *ir.Module, maxSize int) bool {
 	changed := false
+	seq := inlinedMax(m)
 	for _, f := range m.Funcs {
 		if f.Decl {
 			continue
@@ -22,7 +30,8 @@ func Inline(m *ir.Module, maxSize int) bool {
 			if site == nil {
 				break
 			}
-			inlineCall(f, site)
+			seq++
+			inlineCall(f, site, fmt.Sprintf("inl%d.", seq))
 			changed = true
 		}
 	}
@@ -62,12 +71,33 @@ func callsSelf(f *ir.Func) bool {
 	return false
 }
 
-var inlineCounter int
+// inlinedMax returns the largest N of any "inlN." name prefix in m.
+func inlinedMax(m *ir.Module) int {
+	most := 0
+	seen := func(name string) {
+		rest, ok := strings.CutPrefix(name, "inl")
+		if !ok {
+			return
+		}
+		digits, _, ok := strings.Cut(rest, ".")
+		if n, err := strconv.Atoi(digits); ok && err == nil && n > most {
+			most = n
+		}
+	}
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			seen(b.Name)
+			for _, in := range b.Instrs {
+				seen(in.Name)
+			}
+		}
+	}
+	return most
+}
 
-// inlineCall splices a clone of the callee body at the call site.
-func inlineCall(caller *ir.Func, call *ir.Instr) {
-	inlineCounter++
-	prefix := fmt.Sprintf("inl%d.", inlineCounter)
+// inlineCall splices a clone of the callee body at the call site, naming
+// the clones with prefix.
+func inlineCall(caller *ir.Func, call *ir.Instr, prefix string) {
 	callee := caller.Mod.FuncByName(call.Callee)
 	host := call.Parent
 

@@ -1,17 +1,19 @@
 // Dense matmul kernels. Three layouts cover the autodiff engine's forward
 // and backward passes without materialising transposes: a@b, aᵀ@b and
 // a@bᵀ. Each has an Into variant writing a caller-provided output (the
-// tape arena's reuse path), a column-vector fast path (the GATv2 attention
+// tape arena's reuse path), column-vector fast paths (the GATv2 attention
 // score and its backward are E×1 shapes where generic row indexing costs
 // more than the arithmetic), k-blocked tiling for panels that overflow
-// cache, and a row-parallel dispatch above a flop cutover.
+// cache, and a row-parallel dispatch above a flop cutover. a@b also has a
+// register-blocked kernel for narrow right operands (narrowRow) and a
+// row-listed form (MatMulRowsInto) that computes only chosen output rows.
 //
 // Every variant preserves the serial kernels' exact floating-point
 // behaviour: each output element accumulates its k-terms in ascending
 // order from +0, with the same zero-skip tests, and parallel dispatch
 // partitions output rows so no element is touched by two goroutines.
-// Results are therefore bit-identical across serial, blocked and parallel
-// paths — training runs stay reproducible no matter the host.
+// Results are therefore bit-identical across serial, narrow, blocked and
+// parallel paths — training runs stay reproducible no matter the host.
 package tensor
 
 import (
@@ -24,6 +26,10 @@ const (
 	// matmulBlockK is the k-tile: one tile of b (matmulBlockK rows) stays
 	// resident in cache while a streams past it.
 	matmulBlockK = 256
+	// matmulNarrowC is the widest right operand the register-blocked
+	// narrow kernel takes (with a.C ≤ matmulBlockK, so b is one k-tile).
+	// The GNN's weights are 16–32 columns wide.
+	matmulNarrowC = 64
 	// matmulParallelFlops is the minimum multiply-accumulate count per
 	// goroutine; below ~64k flops the fan-out overhead beats the win.
 	matmulParallelFlops = 1 << 16
@@ -120,25 +126,47 @@ func MatMulInto(out, a, b *Mat) {
 	if out.R != a.R || out.C != b.C {
 		panic(fmt.Sprintf("tensor: matmul into %dx%d, want %dx%d", out.R, out.C, a.R, b.C))
 	}
-	if b.C == 1 {
-		// Column-vector product: a dot per output row, b.Data contiguous.
-		bcol := b.Data
-		matmulSpan(a.R, a.C, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				arow := a.Row(i)
-				s := 0.0
-				for k, av := range arow {
-					if av == 0 {
-						continue
-					}
-					s += av * bcol[k]
+	matmulRows(out, a, b, nil)
+}
+
+// MatMulRowsInto computes rows[i] of a @ b for each listed row, into the
+// same row of out (zeroed, a.R×b.C); rows not listed are left untouched.
+// Each computed row is bit-identical to the corresponding MatMulInto row.
+// The GNN projects an edge relation only over the node rows its edges
+// read.
+func MatMulRowsInto(out, a, b *Mat, rows []int) {
+	if a.C != b.R {
+		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", a.R, a.C, b.R, b.C))
+	}
+	if out.R != a.R || out.C != b.C {
+		panic(fmt.Sprintf("tensor: matmul into %dx%d, want %dx%d", out.R, out.C, a.R, b.C))
+	}
+	if len(rows) == 0 {
+		return // matmulRows reads nil as every row
+	}
+	matmulRows(out, a, b, rows)
+}
+
+// matmulRows computes the listed output rows of a @ b (every row when
+// rows is nil).
+func matmulRows(out, a, b *Mat, rows []int) {
+	n := a.R
+	if rows != nil {
+		n = len(rows)
+	}
+	if b.C == 1 || (b.C <= matmulNarrowC && a.C <= matmulBlockK) {
+		matmulSpan(n, 2*a.C*b.C, func(lo, hi int) {
+			for x := lo; x < hi; x++ {
+				i := x
+				if rows != nil {
+					i = rows[x]
 				}
-				out.Data[i] = s
+				narrowRow(out.Row(i), a.Row(i), b.Data)
 			}
 		})
 		return
 	}
-	matmulSpan(a.R, 2*a.C*b.C, func(lo, hi int) {
+	matmulSpan(n, 2*a.C*b.C, func(lo, hi int) {
 		// k-blocked i-k-j: each tile of b stays cache-resident while the
 		// a rows of this span stream past it. k still ascends per output
 		// element, so blocking does not reorder any accumulation.
@@ -147,7 +175,11 @@ func MatMulInto(out, a, b *Mat) {
 			if k1 > a.C {
 				k1 = a.C
 			}
-			for i := lo; i < hi; i++ {
+			for x := lo; x < hi; x++ {
+				i := x
+				if rows != nil {
+					i = rows[x]
+				}
 				arow := a.Row(i)[k0:k1]
 				orow := out.Row(i)
 				for kk, av := range arow {
@@ -159,6 +191,67 @@ func MatMulInto(out, a, b *Mat) {
 			}
 		}
 	})
+}
+
+// narrowRow writes orow = arow @ b, where b is len(arow)×len(orow) in
+// row-major bd. It holds 8 output columns in registers across the whole
+// k loop, then 4, then 1, instead of loading and storing the output row
+// once per k as axpy does. Each accumulator starts at +0 and adds its
+// k-terms in ascending order with the same av == 0 skip, which is exactly
+// the sequence of operations the axpy loop applies to a zeroed output
+// element, so the result is bit-identical.
+func narrowRow(orow, arow, bd []float64) {
+	n := len(orow)
+	bd = bd[:len(arow)*n]
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		off := j
+		for _, av := range arow {
+			if av != 0 {
+				bk := bd[off : off+8 : off+8]
+				s0 += av * bk[0]
+				s1 += av * bk[1]
+				s2 += av * bk[2]
+				s3 += av * bk[3]
+				s4 += av * bk[4]
+				s5 += av * bk[5]
+				s6 += av * bk[6]
+				s7 += av * bk[7]
+			}
+			off += n
+		}
+		o := orow[j : j+8 : j+8]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		o[4], o[5], o[6], o[7] = s4, s5, s6, s7
+	}
+	for ; j+4 <= n; j += 4 {
+		var s0, s1, s2, s3 float64
+		off := j
+		for _, av := range arow {
+			if av != 0 {
+				bk := bd[off : off+4 : off+4]
+				s0 += av * bk[0]
+				s1 += av * bk[1]
+				s2 += av * bk[2]
+				s3 += av * bk[3]
+			}
+			off += n
+		}
+		o := orow[j : j+4 : j+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; j < n; j++ {
+		var s float64
+		off := j
+		for _, av := range arow {
+			if av != 0 {
+				s += av * bd[off]
+			}
+			off += n
+		}
+		orow[j] = s
+	}
 }
 
 // MatMulATB computes aᵀ @ b (used by backward passes without

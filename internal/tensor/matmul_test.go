@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -82,7 +84,7 @@ func bitEqual(t *testing.T, name string, got, want *Mat) {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.R, got.C, want.R, want.C)
 	}
 	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("%s: element %d = %v, want %v (not bit-identical)", name, i, got.Data[i], want.Data[i])
 		}
 	}
@@ -108,6 +110,61 @@ func TestMatMulBitExact(t *testing.T) {
 		bt := sparseRandn(rng, sh.n, sh.k)
 		bitEqual(t, "MatMulABT", MatMulABT(a, bt), refMatMulABT(a, bt))
 	}
+}
+
+// signedZeroRandn is sparseRandn with some rows left all-zero and a
+// share of the zeros negative, so the narrow kernel meets -0 operands,
+// -0 products and rows it skips entirely.
+func signedZeroRandn(rng *rand.Rand, r, c int) *Mat {
+	m := sparseRandn(rng, r, c)
+	for i := 0; i < r; i++ {
+		row := m.Row(i)
+		if rng.Intn(5) == 0 {
+			for j := range row {
+				row[j] = 0
+			}
+		}
+		for j, v := range row {
+			if v == 0 && rng.Intn(2) == 0 {
+				row[j] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return m
+}
+
+// TestMatMulNarrowBitExact covers the register-blocked narrow kernel at
+// every right-operand width it takes (1..matmulNarrowC, so every 8/4/1
+// column remainder), at inner sizes up to one k-tile, against refMatMul.
+// It also checks the row-listed variant: listed rows equal the full
+// product's, unlisted rows stay untouched.
+func TestMatMulNarrowBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for n := 1; n <= matmulNarrowC; n++ {
+		for _, k := range []int{1, 3, 16, 33, matmulBlockK} {
+			a := signedZeroRandn(rng, 9, k)
+			b := signedZeroRandn(rng, k, n)
+			want := refMatMul(a, b)
+			bitEqual(t, fmt.Sprintf("MatMul %dx%d@%dx%d", a.R, k, k, n), MatMul(a, b), want)
+
+			rows := []int{0, 2, 3, 7}
+			got := New(a.R, n)
+			MatMulRowsInto(got, a, b, rows)
+			listed := New(a.R, n)
+			for _, i := range rows {
+				copy(listed.Row(i), want.Row(i))
+			}
+			bitEqual(t, fmt.Sprintf("MatMulRowsInto %dx%d@%dx%d", a.R, k, k, n), got, listed)
+		}
+	}
+	// Signs of zero: an all-zero row and a row of -0 products must both
+	// give +0, as the axpy loop over a zeroed output does.
+	a := FromSlice(2, 2, []float64{0, 0, math.Copysign(0, -1), 1})
+	b := FromSlice(2, 9, make([]float64, 18))
+	for j := 0; j < 9; j++ {
+		b.Set(1, j, math.Copysign(0, -1))
+	}
+	bitEqual(t, "MatMul(signed zeros)", MatMul(a, b), New(2, 9))
 }
 
 // TestMatMulParallelBitExact forces the parallel dispatch (overriding the

@@ -2,6 +2,18 @@
 // autodiff engine and the neural layers. The kernels are written for cache
 // friendliness (row-major, k-loop hoisting) since the GNN training loop is
 // dominated by small dense matmuls.
+//
+// The GNN's products are narrow: its weights are 16–32 columns wide. For
+// a@b with b.C ≤ 64 and a.C ≤ matmulBlockK, the kernel is chosen by shape
+// alone: each output row is computed 8 columns at a time, then 4, then 1,
+// with the column sums held in registers across the whole k loop, where
+// the general kernel loads and stores the output row once per k (axpy).
+// The result is bit-identical to the general kernel, because each output
+// element still sees the same operations in the same order: it starts at
+// +0, adds av·b[k][j] for ascending k, and skips every k with av == 0.
+// Only where the running sum lives (register or memory) changes, and a
+// float64 is rounded the same in both. TestMatMulNarrowBitExact checks
+// every width 1..64 against the plain reference loop, with ±0 entries.
 package tensor
 
 import (
